@@ -157,7 +157,7 @@ def test_bench_ingest_edge_connect(benchmark, seed, quick, ingest_table):
     floored = _floored_batch(seed)
     tokens_per_s = _throughput(make, floored, rounds=2 if quick else 3)
     ingest_table.add_row(
-        "EdgeConnectivitySketch.consume", len(wl.stream), token_s, batched_s,
+        "EdgeConnectivitySketch.consume_batch", len(wl.stream), token_s, batched_s,
         speedup, tokens_per_s,
     )
     _record("edge_connect", len(wl.stream), token_s, batched_s, speedup,
@@ -184,7 +184,7 @@ def test_bench_ingest_simple_sparsify(benchmark, seed, quick, ingest_table):
     floored = _floored_batch(seed)
     tokens_per_s = _throughput(make, floored, rounds=2 if quick else 3)
     ingest_table.add_row(
-        "SimpleSparsification.consume", len(wl.stream), token_s, batched_s,
+        "SimpleSparsification.consume_batch", len(wl.stream), token_s, batched_s,
         speedup, tokens_per_s,
     )
     _record("simple_sparsify", len(wl.stream), token_s, batched_s, speedup,

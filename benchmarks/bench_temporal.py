@@ -41,7 +41,6 @@ from repro.streams import erdos_renyi_graph, stream_from_edges
 from repro.temporal import (
     EpochManager,
     EpochStore,
-    TemporalQueryEngine,
     materialise_window,
 )
 
@@ -114,7 +113,6 @@ def test_bench_window_vs_replay(benchmark, seed, quick, temporal_table,
     n, stream = _long_stream(seed)
     factory = functools.partial(forest_sketch, n, seed + 5)
     timeline = EpochManager.consume(factory, stream, epochs=EPOCHS)
-    engine = TemporalQueryEngine(timeline)
     batch = stream.as_batch()
     windows = [(t, EPOCHS) for t in range(EPOCHS)]
 
@@ -130,7 +128,9 @@ def test_bench_window_vs_replay(benchmark, seed, quick, temporal_table,
 
     # Checkpoint path: loads + subtraction, independent of window span.
     t0 = time.perf_counter()
-    materialised = [engine.window_sketch(t1, t2) for t1, t2 in windows]
+    materialised = [
+        materialise_window(timeline, t1, t2) for t1, t2 in windows
+    ]
     subtract_s = time.perf_counter() - t0
 
     speedup = replay_s / subtract_s
@@ -158,7 +158,7 @@ def test_bench_window_vs_replay(benchmark, seed, quick, temporal_table,
         f"at {EPOCHS} epochs (gate: {GATE}x)"
     )
     benchmark.pedantic(
-        lambda: engine.window_sketch(EPOCHS // 2, EPOCHS),
+        lambda: materialise_window(timeline, EPOCHS // 2, EPOCHS),
         rounds=1 if quick else 5, iterations=1,
     )
 

@@ -28,13 +28,12 @@ registry::
 
 The sketch classes themselves (:class:`MinCutSketch`,
 :class:`SimpleSparsification`, ...) remain importable for direct use
-and post-processing; their per-class ``consume`` entry points, the
-``sharded_consume`` helper, and direct ``TemporalQueryEngine``
-construction are deprecated shims over the engine (see
-``docs/MIGRATION.md``).  Substrates — ℓ₀ samplers, k-sparse recovery,
-hashing, the dynamic-stream model, and exact graph algorithms — live
-in :mod:`repro.sketch`, :mod:`repro.hashing`, :mod:`repro.streams` and
-:mod:`repro.graphs`.
+and post-processing; each ingests through ``consume_batch`` (one
+columnar pass over ``stream.as_batch()``) and keeps a per-token
+``update`` as the reference oracle.  Substrates — ℓ₀ samplers,
+k-sparse recovery, hashing, the dynamic-stream model, and exact graph
+algorithms — live in :mod:`repro.sketch`, :mod:`repro.hashing`,
+:mod:`repro.streams` and :mod:`repro.graphs`.
 """
 
 from .api import (

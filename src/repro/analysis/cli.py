@@ -51,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description=(
             "Repo-specific invariant linter for the sketch stack: "
             "determinism, registry completeness, hot-path purity, API "
-            "hygiene, deprecation containment (see docs/INVARIANTS.md)."
+            "hygiene (see docs/INVARIANTS.md)."
         ),
     )
     parser.add_argument(

@@ -72,7 +72,6 @@ __all__ = [
     "ShardedEpochReport",
     "ShardedSketchRunner",
     "default_start_method",
-    "sharded_consume",
 ]
 
 #: Execution modes accepted by :class:`ShardedSketchRunner`.
@@ -213,13 +212,7 @@ def _consume_shard(args: tuple) -> tuple[int, bytes, int, float]:
     t0 = time.perf_counter()
     sketch = factory()
     batch = StreamBatch(n, lo, hi, delta, ranks=ranks)
-    if hasattr(sketch, "consume_batch"):
-        sketch.consume_batch(batch)
-    else:  # pragma: no cover - every shipped sketch has the columnar path
-        raise TypeError(
-            f"{type(sketch).__name__} has no consume_batch; the sharded "
-            "runner requires the columnar ingestion path"
-        )
+    sketch.consume_batch(batch)
     payload = dump_sketch(sketch)
     return site, payload, len(batch), time.perf_counter() - t0
 
@@ -777,30 +770,3 @@ class ShardedSketchRunner:
             mode=mode,
             wall_seconds=time.perf_counter() - t_start,
         )
-
-
-def sharded_consume(
-    stream: DynamicGraphStream,
-    factory: Callable[[], object],
-    sites: int = 4,
-    strategy: str = "hash-edge",
-    mode: str = "sequential",
-    seed: int = 0,
-) -> ShardedRunReport:
-    """One-call convenience wrapper around :class:`ShardedSketchRunner`.
-
-    .. deprecated::
-        Use ``GraphSketchEngine.for_spec(spec).sharded(...)`` — the
-        engine runs the identical pipeline and adds the uniform query
-        dispatch on top (see ``docs/MIGRATION.md``).
-    """
-    from ..api.deprecation import warn_deprecated
-
-    warn_deprecated(
-        "sharded_consume()",
-        "GraphSketchEngine.for_spec(spec).sharded(sites=K).ingest(stream)",
-    )
-    with ShardedSketchRunner(
-        factory, sites=sites, strategy=strategy, mode=mode, seed=seed
-    ) as runner:
-        return runner.run(stream)

@@ -328,7 +328,6 @@ def _peel(
     update time so recovered entries can be subtracted from all rows.
     """
     recovered: dict[int, int] = {}
-    queue_scan = True
     max_iter = 4 * (rows * buckets + k + 8)
     for _ in range(max_iter):
         if not ((phi != 0) | (iota != 0) | (fp1 != 0) | (fp2 != 0)).any():
@@ -368,5 +367,4 @@ def _peel(
             break
         if not progressed:
             raise RecoveryFailed("peeling stuck: vector has more than k non-zeros")
-        queue_scan = not queue_scan
     raise RecoveryFailed("peeling did not converge")

@@ -4,8 +4,7 @@ For every registry sketch kind and every deployment mode — local,
 sharded across all four partition strategies, temporal epoch windows,
 and sharded-temporal — the :class:`~repro.api.GraphSketchEngine` state
 is *byte-identical* to the pipeline a caller would have hand-wired
-before the facade existed.  DeprecationWarnings are promoted to errors
-here: the engine must never answer through a deprecated shim.
+before the facade existed.
 
 Capability dispatch rides along: every capability a kind declares must
 actually answer its canonical query, and every undeclared one must
@@ -43,8 +42,6 @@ from repro.streams import DynamicGraphStream, churn_stream, erdos_renyi_graph
 from repro.temporal import EpochManager
 
 from strategies import streams_with_epochs
-
-pytestmark = pytest.mark.filterwarnings("error::DeprecationWarning")
 
 N = 8
 
@@ -495,56 +492,36 @@ class TestEngineContracts:
             ))
 
 
-class TestDeprecatedShims:
-    """The legacy entry points still work — loudly."""
+class TestHandWiredEquivalents:
+    """Engine answers equal the sketch's own post-processing surface."""
 
-    def test_consume_warns_and_matches_engine(self, stream, direct_bytes):
-        spec = SPECS["spanning_forest"]
-        sketch = spec.build()
-        with pytest.warns(DeprecationWarning, match="consume"):
-            sketch.consume(stream)
-        assert dump_sketch(sketch) == direct_bytes["spanning_forest"]
+    def test_mincut_query_matches_sketch_estimate(self, stream):
+        spec = SPECS["mincut"]
+        engine = GraphSketchEngine.for_spec(spec).ingest(stream)
+        estimate = spec.build().consume_batch(stream.as_batch()).estimate()
+        facade = engine.query(MinCutQuery())
+        assert facade.value == estimate.value
+        assert facade.stop_level == estimate.stop_level
 
-    def test_sharded_consume_warns_and_matches_engine(
-        self, stream, direct_bytes
-    ):
-        from repro.distributed import sharded_consume
-
-        spec = SPECS["spanning_forest"]
-        with pytest.warns(DeprecationWarning, match="sharded_consume"):
-            report = sharded_consume(
-                stream, functools.partial(build_sketch, spec),
-                sites=3, seed=3,
-            )
-        assert dump_sketch(report.sketch) == direct_bytes["spanning_forest"]
-
-    def test_temporal_query_engine_warns_and_matches(self, stream):
-        from repro.temporal import TemporalQueryEngine
+    def test_window_query_matches_materialised_window(self, stream):
+        from repro.temporal import materialise_window
 
         spec = SPECS["spanning_forest"]
         engine = (GraphSketchEngine.for_spec(spec)
                   .epochs(count=3)
                   .ingest(stream))
-        with pytest.warns(DeprecationWarning, match="TemporalQueryEngine"):
-            legacy = TemporalQueryEngine(engine.timeline)
-        assert dump_sketch(legacy.window_sketch(1, 3)) == dump_sketch(
-            spec.build().consume_batch(stream.as_batch().slice(
-                engine.timeline.boundaries[0], engine.timeline.boundaries[2]
-            ))
+        timeline = engine.timeline
+        replay = spec.build().consume_batch(stream.as_batch().slice(
+            timeline.boundaries[0], timeline.boundaries[2]
+        ))
+        window = materialise_window(timeline, 1, 3)
+        assert dump_sketch(window) == dump_sketch(replay)
+        components = window.connected_components()
+        result = engine.query(ConnectivityQuery(u=0, v=N - 1, window=(1, 3)))
+        assert result.components == len(components)
+        assert result.same_component == any(
+            0 in comp and N - 1 in comp for comp in components
         )
-
-    def test_answer_query_warns_and_matches_engine(self, stream):
-        from repro.api.dispatch import answer_query
-
-        spec = SPECS["mincut"]
-        engine = GraphSketchEngine.for_spec(spec).ingest(stream)
-        direct = spec.build().consume_batch(stream.as_batch())
-        with pytest.warns(DeprecationWarning, match="answer_query"):
-            result_cls, fields = answer_query("mincut", direct, MinCutQuery())
-        facade = engine.query(MinCutQuery())
-        assert result_cls is type(facade)
-        assert fields["value"] == facade.value
-        assert fields["stop_level"] == facade.stop_level
 
 
 class TestDictQueries:

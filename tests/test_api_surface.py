@@ -8,13 +8,14 @@ snapshot in the same change — which is the point.
 
 from __future__ import annotations
 
+import importlib
+import importlib.util
+
 import pytest
 
 import repro
 import repro.api
 import repro.errors
-
-pytestmark = pytest.mark.filterwarnings("error::DeprecationWarning")
 
 
 EXPECTED_API = frozenset({
@@ -120,6 +121,18 @@ EXPECTED_KINDS = (
     "weighted_sparsification",
 )
 
+#: Entry points that once duplicated the single ingest path
+#: (``consume_batch``) and the single query path
+#: (``GraphSketchEngine.query``); none may come back.
+REMOVED_NAMES = {
+    "repro.api.dispatch": frozenset({"answer_query"}),
+    "repro.distributed": frozenset({"sharded_consume"}),
+    "repro.temporal": frozenset({"TemporalQueryEngine", "window_answer"}),
+}
+
+#: Modules that existed only to keep those entry points from spreading.
+REMOVED_MODULES = ("repro.analysis.deprecation", "repro.api.deprecation")
+
 EXPECTED_CAPABILITIES = (
     "connectivity",
     "k-edge-connectivity",
@@ -182,3 +195,23 @@ class TestRegistrySnapshots:
             entry = repro.capability_entry(kind)
             assert entry.queries, f"{kind} declares no capabilities"
             assert entry.queries <= set(EXPECTED_CAPABILITIES)
+
+
+class TestSingleSurface:
+    def test_registry_sketch_classes_have_no_consume(self):
+        for kind in repro.registered_kinds():
+            cls = repro.capability_entry(kind).cls
+            assert not hasattr(cls, "consume"), (
+                f"{cls.__name__}.consume is back; ingest is consume_batch"
+            )
+
+    @pytest.mark.parametrize("module", sorted(REMOVED_NAMES))
+    def test_removed_names_stay_removed(self, module):
+        mod = importlib.import_module(module)
+        removed = REMOVED_NAMES[module]
+        assert not removed & set(getattr(mod, "__all__", ()))
+        assert not [name for name in removed if hasattr(mod, name)]
+
+    @pytest.mark.parametrize("module", REMOVED_MODULES)
+    def test_removed_modules_stay_removed(self, module):
+        assert importlib.util.find_spec(module) is None

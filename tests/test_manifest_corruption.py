@@ -37,7 +37,7 @@ def stream():
 
 @pytest.fixture(scope="module")
 def blob(stream) -> bytes:
-    return dump_sketch(SpanningForestSketch(N, HashSource(31)).consume(stream))
+    return dump_sketch(SpanningForestSketch(N, HashSource(31)).consume_batch(stream.as_batch()))
 
 
 @pytest.fixture(scope="module")
@@ -95,7 +95,7 @@ class TestLoadSketchFuzz:
             load_sketch(bytes(corrupted))
 
     def test_mismatched_seed_against_reference_rejected(self, blob, stream):
-        other = SpanningForestSketch(N, HashSource(32)).consume(stream)
+        other = SpanningForestSketch(N, HashSource(32)).consume_batch(stream.as_batch())
         with pytest.raises(SketchCompatibilityError, match="seed"):
             load_sketch(blob, like=other)
 
@@ -155,8 +155,8 @@ class TestManifestCorruption:
 
     def test_mismatched_seed_inside_manifest_rejected(self, stream):
         """A checkpoint sealed under a different seed cannot hide."""
-        a = dump_sketch(SpanningForestSketch(N, HashSource(41)).consume(stream))
-        b = dump_sketch(SpanningForestSketch(N, HashSource(42)).consume(stream))
+        a = dump_sketch(SpanningForestSketch(N, HashSource(41)).consume_batch(stream.as_batch()))
+        b = dump_sketch(SpanningForestSketch(N, HashSource(42)).consume_batch(stream.as_batch()))
         with pytest.raises(SketchCompatibilityError, match="seed"):
             dump_epoch_manifest([a, b])
         # ... and a manifest whose header lies about the seed refuses on load.
@@ -172,10 +172,10 @@ class TestManifestCorruption:
         from repro.core import CutEdgesSketch
 
         forest = dump_sketch(
-            SpanningForestSketch(N, HashSource(41)).consume(stream)
+            SpanningForestSketch(N, HashSource(41)).consume_batch(stream.as_batch())
         )
         cut = dump_sketch(
-            CutEdgesSketch(N, k=4, source=HashSource(41)).consume(stream)
+            CutEdgesSketch(N, k=4, source=HashSource(41)).consume_batch(stream.as_batch())
         )
         with pytest.raises(SketchCompatibilityError, match="kind"):
             dump_epoch_manifest([forest, cut])

@@ -29,8 +29,6 @@ from repro.serve import ServeConfig, create_app
 from repro.serve.testing import AsgiClient
 from repro.streams import EdgeUpdate, StreamBatch
 
-pytestmark = pytest.mark.filterwarnings("error::DeprecationWarning")
-
 N = 8
 
 #: Spec declarations (wire form) per serialisable kind — parameters

@@ -35,8 +35,6 @@ from repro.core import named_patterns
 from repro.errors import WireFormatError
 from repro.streams import churn_stream, erdos_renyi_graph
 
-pytestmark = pytest.mark.filterwarnings("error::DeprecationWarning")
-
 N = 8
 
 SPECS = {
