@@ -24,7 +24,6 @@ import asyncio
 import json
 import time
 
-import pytest
 from conftest import write_bench_json
 
 from repro.serve import ServeConfig, create_app

@@ -26,7 +26,7 @@ REP-D003
 REP-D004
     Iterating a ``set``/``frozenset`` in the codec/merge/serialise
     paths (``sketch/serialize.py``, ``sketch/arena.py``,
-    ``core/codecs.py``, ``distributed/``, ``temporal/``) without an
+    ``core/kinds.py``, ``distributed/``, ``temporal/``) without an
     ordering wrapper — serialised bytes must not depend on set order.
 """
 
@@ -55,7 +55,7 @@ DETERMINISTIC_DIRS = (
 SET_ORDER_PATHS = (
     "sketch/serialize.py",
     "sketch/arena.py",
-    "core/codecs.py",
+    "core/kinds.py",
     "distributed/",
     "temporal/",
 )

@@ -1,12 +1,14 @@
 """Registry completeness rules (REP-R): no half-registered sketch kinds.
 
-Adding a sketch kind touches four places: the serialisation codec
-registry (``sketch/serialize.py`` via ``core/codecs.py``), the
-``CAPABILITIES`` declaration on the class, the ``_cell_banks()`` arena
-hook, and the capability registry in ``api/capabilities.py``.  Miss one
-and the failure is a *runtime* surprise — a kind that shards but cannot
-snapshot, or answers queries locally but explodes under
-``merge_sketch_bytes``.  These rules turn each gap into a lint failure.
+Adding a sketch kind touches its class and one table: the class
+declares ``CAPABILITIES`` and implements the ``_cell_banks()`` and
+``params()`` arena hooks, and ``core/kinds.py`` lists it under its kind
+name in ``SKETCH_KINDS`` — which both the serialisation layer
+(``sketch/serialize.py``) and the capability registry
+(``api/capabilities.py``) read.  Miss a hook and the failure is a
+*runtime* surprise — a kind that answers queries locally but explodes
+under ``merge_sketch_bytes``.  These rules turn each gap into a lint
+failure.
 
 Two halves:
 
@@ -16,11 +18,13 @@ Two halves:
   declarations must be literal ``frozenset({...})`` of string constants
   so the import-time vocabulary check cannot be bypassed (REP-R005).
 * **Introspection** (:func:`check_registries`) — imports the live
-  package and cross-checks the codec registry against the capability
-  registry: every codec kind must declare a non-empty ``CAPABILITIES``
-  (REP-R001), override ``_cell_banks`` (REP-R002), and be reachable
-  from ``api/capabilities.py`` under the same kind name and class —
-  and vice versa for serialisable capability entries (REP-R003).
+  package and cross-checks the serialisable kinds against the
+  capability registry (which :func:`~repro.api.register_capability`
+  can extend at runtime): every serialisable kind must declare a
+  non-empty ``CAPABILITIES`` (REP-R001), override ``_cell_banks`` and
+  ``params`` (REP-R002), and be reachable from ``api/capabilities.py``
+  under the same kind name and class — and vice versa for serialisable
+  capability entries (REP-R003).
 """
 
 from __future__ import annotations
@@ -109,21 +113,22 @@ def check_module(
 
 
 def check_registries() -> list[Finding]:
-    """Cross-check the live codec and capability registries.
+    """Cross-check the live serialisable kinds and capability registry.
 
     Imports :mod:`repro` — run this against the installed/source tree
     being analysed, not against fixtures.  Every finding names the kind
     and the missing registration site.
     """
     from ..api.capabilities import capability_entry, registered_kinds
+    from ..core.kinds import SKETCH_KINDS
     from ..errors import NotSupportedError
     from ..sketch.arena import ArenaBacked
-    from ..sketch.serialize import serializable_sketch_kinds, sketch_codec
+    from ..sketch.serialize import serializable_sketch_kinds
 
     findings: list[Finding] = []
     codec_kinds = serializable_sketch_kinds()
     for kind in codec_kinds:
-        cls = sketch_codec(kind).cls
+        cls = SKETCH_KINDS[kind]
         declared = cls.__dict__.get("CAPABILITIES")
         if declared is None or not frozenset(declared):
             findings.append(Finding(
@@ -140,6 +145,12 @@ def check_registries() -> list[Finding]:
                 "_cell_banks(); its arena cannot be adopted and codec v2 "
                 "payloads cannot be folded into it",
             ))
+        if getattr(cls, "params", None) is ArenaBacked.params:
+            findings.append(Finding(
+                _REGISTRY_PATH, 0, "REP-R002", FAMILY_REGISTRY,
+                f"codec kind {kind!r} ({cls.__name__}) does not override "
+                "params(); it can neither be merged nor serialised",
+            ))
         try:
             entry = capability_entry(kind)
         except NotSupportedError:
@@ -153,14 +164,14 @@ def check_registries() -> list[Finding]:
             if entry.cls is not cls:
                 findings.append(Finding(
                     _REGISTRY_PATH, 0, "REP-R003", FAMILY_REGISTRY,
-                    f"kind {kind!r} maps to {cls.__name__} in the codec "
-                    f"registry but {entry.cls.__name__} in the capability "
+                    f"kind {kind!r} maps to {cls.__name__} in the kind "
+                    f"table but {entry.cls.__name__} in the capability "
                     "registry — the two registries disagree",
                 ))
             elif not entry.serialisable:
                 findings.append(Finding(
                     _REGISTRY_PATH, 0, "REP-R003", FAMILY_REGISTRY,
-                    f"kind {kind!r} has a codec but its capability entry "
+                    f"kind {kind!r} is serialisable but its capability entry "
                     "says serialisable=False — snapshots and sharding "
                     "would be refused despite working",
                 ))
@@ -171,7 +182,7 @@ def check_registries() -> list[Finding]:
             findings.append(Finding(
                 _REGISTRY_PATH, 0, "REP-R003", FAMILY_REGISTRY,
                 f"capability kind {kind!r} claims serialisable=True but "
-                "has no codec in sketch/serialize.py — snapshot(), "
+                "is not an arena-backed kind of core/kinds.py — snapshot(), "
                 "sharding, and epochs would fail at runtime",
             ))
     return findings

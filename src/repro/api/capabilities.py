@@ -3,10 +3,11 @@
 Every registry sketch class declares the queries it supports in its
 ``CAPABILITIES`` class attribute (e.g. ``frozenset({"connectivity"})``
 on :class:`~repro.core.forest.SpanningForestSketch`); this module
-collects those declarations into one table keyed by the same stable
-kind names the serialisation codec registry uses, plus the two adaptive
-spanner drivers (which are multi-batch *builders*, not serialisable
-linear state, and therefore support neither epochs nor snapshots).
+collects those declarations for every kind of the kind table
+(:data:`repro.core.kinds.SKETCH_KINDS`), under the same stable names the
+serialisation layer writes into blob headers.  The two adaptive spanner
+drivers are multi-batch *builders*, not serialisable linear state, and
+therefore support neither epochs nor snapshots.
 
 :class:`~repro.api.GraphSketchEngine` consults the table on every
 ``query()`` — a query whose capability the kind does not declare raises
@@ -19,21 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core import (
-    BaswanaSenSpanner,
-    BipartitenessSketch,
-    CutEdgesSketch,
-    EdgeConnectivitySketch,
-    MinCutSketch,
-    MSTWeightSketch,
-    RecurseConnectSpanner,
-    SimpleSparsification,
-    SpanningForestSketch,
-    Sparsification,
-    SubgraphSketch,
-    WeightedSparsification,
-)
+from ..core.kinds import SKETCH_KINDS
 from ..errors import NotSupportedError
+from ..sketch import ArenaBacked
 from .queries import CAPABILITIES
 
 __all__ = [
@@ -52,15 +41,15 @@ class CapabilityEntry:
     Attributes
     ----------
     kind:
-        Stable kind name (identical to the codec-registry name for the
-        serialisable classes).
+        Stable kind name (the blob-header name for the serialisable
+        classes).
     cls:
         The sketch class; built from a spec as
         ``cls(n, source=HashSource(seed), **params)``.
     queries:
         Capability names the class declares (its ``CAPABILITIES``).
     serialisable:
-        Whether the kind has a registered codec — i.e. supports
+        Whether the kind is arena-backed linear state — i.e. supports
         snapshots, sharded byte-shipping, and epoch checkpoints.
     adaptive:
         Whether the kind is a multi-batch driver that must see a
@@ -129,29 +118,11 @@ def kind_of_sketch(sketch: object) -> str:
 
 
 def _register_builtin() -> None:
-    serialisable = {
-        "spanning_forest": SpanningForestSketch,
-        "edge_connectivity": EdgeConnectivitySketch,
-        "mincut": MinCutSketch,
-        "simple_sparsification": SimpleSparsification,
-        "sparsification": Sparsification,
-        "weighted_sparsification": WeightedSparsification,
-        "subgraph_count": SubgraphSketch,
-        "cut_edges": CutEdgesSketch,
-        "bipartiteness": BipartitenessSketch,
-        "mst_weight": MSTWeightSketch,
-    }
-    for kind, cls in serialisable.items():
+    for kind, cls in SKETCH_KINDS.items():
+        serialisable = issubclass(cls, ArenaBacked)
         register_capability(CapabilityEntry(
             kind=kind, cls=cls, queries=frozenset(cls.CAPABILITIES),
-        ))
-    for kind, cls in (
-        ("baswana_sen_spanner", BaswanaSenSpanner),
-        ("recurse_connect_spanner", RecurseConnectSpanner),
-    ):
-        register_capability(CapabilityEntry(
-            kind=kind, cls=cls, queries=frozenset(cls.CAPABILITIES),
-            serialisable=False, adaptive=True,
+            serialisable=serialisable, adaptive=not serialisable,
         ))
 
 

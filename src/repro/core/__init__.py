@@ -31,7 +31,6 @@ from .sparsify import Sparsification, SparsificationDiagnostics
 from .sparsify_simple import SimpleSparsification, default_sparsifier_k
 from .subgraph_count import GammaEstimate, SubgraphSketch
 from .weighted import WeightedSparsification, weight_class_of
-from . import codecs as _codecs  # noqa: F401  (registers sketch codecs)
 
 __all__ = [
     "BaswanaSenSpanner",

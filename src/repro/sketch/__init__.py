@@ -10,7 +10,6 @@ from .base import LinearSketch
 from .l0 import L0Sampler, L0SamplerBank
 from .onesparse import OneSparseCell
 from .serialize import (
-    SketchCodec,
     dump_epoch_manifest,
     dump_l0_bank,
     dump_recovery_bank,
@@ -21,7 +20,6 @@ from .serialize import (
     load_sketch,
     merge_sketch_bytes,
     peek_sketch_meta,
-    register_sketch_codec,
     serializable_sketch_kinds,
     sketch_kind_of,
     subtract_sketch_bytes,
@@ -47,7 +45,6 @@ __all__ = [
     "OneSparseCell",
     "SparseRecovery",
     "SparseRecoveryBank",
-    "SketchCodec",
     "bucket_count_for",
     "decode_cells",
     "dump_epoch_manifest",
@@ -61,7 +58,6 @@ __all__ = [
     "merge_sketch_bytes",
     "subtract_sketch_bytes",
     "peek_sketch_meta",
-    "register_sketch_codec",
     "serializable_sketch_kinds",
     "sketch_kind_of",
     "is_valid_encoding",

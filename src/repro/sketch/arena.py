@@ -45,14 +45,20 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..errors import SketchCompatibilityError
+from ..errors import SketchCompatibilityError, incompatible
 from ..kernels import get as _get_kernel
 from ..kernels.reference import _fold_mersenne31_inplace  # noqa: F401  (re-export)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .bank import CellBank
 
-__all__ = ["SketchArena", "ArenaBacked", "ensure_arena"]
+__all__ = [
+    "SketchArena",
+    "ArenaBacked",
+    "ensure_arena",
+    "sketch_identity",
+    "require_same_identity",
+]
 
 _K_FOLD = _get_kernel("arena_fold")
 _K_FOLD_SPARSE = _get_kernel("arena_fold_sparse")
@@ -270,9 +276,10 @@ def ensure_arena(sketch) -> SketchArena:
 class ArenaBacked:
     """Mixin for sketch classes whose linear ops run on a shared arena.
 
-    Subclasses implement ``_cell_banks()`` (deterministic order, same
-    list their serialisation codec uses) and get a lazily-attached
-    :class:`SketchArena` via :attr:`arena`.
+    Subclasses implement ``_cell_banks()`` (deterministic order — the
+    serialisation order too) and ``params()``, and get a lazily-attached
+    :class:`SketchArena` via :attr:`arena` plus the one ``merge``/
+    ``subtract``/``negate`` every arena-backed sketch shares.
     """
 
     #: Query capabilities the class declares for the :mod:`repro.api`
@@ -281,12 +288,74 @@ class ArenaBacked:
     #: the queries its post-processing surface can actually answer.
     CAPABILITIES: frozenset[str] = frozenset()
 
+    #: Seed of the constructing source; set by every subclass.
+    source_seed: int | None = None
+
     _arena: SketchArena | None = None
 
     def _cell_banks(self) -> list["CellBank"]:
+        raise NotImplementedError
+
+    def params(self) -> dict:
+        """The JSON-able constructor parameters (everything but the seed).
+
+        This dict is the sketch's identity: two sketches combine only if
+        their classes, ``params()`` and seeds match, and it is written
+        verbatim (keys in this order) into every serialised blob header.
+        """
         raise NotImplementedError
 
     @property
     def arena(self) -> SketchArena:
         """The contiguous cell-state arena (created on first use)."""
         return ensure_arena(self)
+
+    def _require_combinable(self, other: "ArenaBacked", op: str = "merge") -> None:
+        name = type(self).__name__
+        if type(other) is not type(self):
+            raise incompatible(name, "class", name, type(other).__name__, op=op)
+        require_same_identity(
+            name, sketch_identity(self), sketch_identity(other), op=op
+        )
+
+    def merge(self, other: "ArenaBacked") -> None:
+        """Add an identically-parameterised, identically-seeded sketch.
+
+        Afterwards this sketch sketches the union of both streams — the
+        distributed-streams identity of Section 1.1.
+        """
+        self._require_combinable(other)
+        self.arena.merge(other.arena)
+
+    def subtract(self, other: "ArenaBacked") -> None:
+        """Subtract an identically-parameterised, identically-seeded sketch.
+
+        Afterwards this sketch sketches ``x - y`` — the temporal-window
+        primitive (checkpoint algebra).
+        """
+        self._require_combinable(other, op="subtract")
+        self.arena.subtract(other.arena)
+
+    def negate(self) -> None:
+        """Negate the sketched vector in place (``x -> -x``)."""
+        self.arena.negate()
+
+
+def sketch_identity(sketch: ArenaBacked) -> dict:
+    """``sketch.params()`` plus its seed: what must match to combine."""
+    return {**sketch.params(), "seed": sketch.source_seed}
+
+
+def require_same_identity(
+    name: str, ours: dict, theirs: dict, op: str = "merge"
+) -> None:
+    """Refuse (naming the first differing field) unless ``theirs`` matches.
+
+    ``ours`` is the local sketch's :func:`sketch_identity`; ``theirs`` is
+    another sketch's identity or a serialised blob's header.  A local
+    value of ``None`` (an unrecorded seed or a defaulted parameter)
+    places no constraint.
+    """
+    for field, value in ours.items():
+        if value is not None and theirs.get(field) != value:
+            raise incompatible(name, field, value, theirs.get(field), op=op)

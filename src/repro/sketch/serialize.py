@@ -7,13 +7,15 @@ module provides a compact, dependency-free binary format in two layers:
 
 * the two primitive bank formats (``dump_l0_bank`` / ``dump_recovery_
   bank`` and their loaders), kept for direct bank-level workflows; and
-* a **generic sketch registry**: every high-level sketch class (spanning
-  forest, k-EDGECONNECT, MINCUT, the sparsifiers, the subgraph-count
-  sketch, ...) registers a :class:`SketchCodec` describing how to list
-  its constituent cell banks and how to rebuild an empty twin from its
-  constructor parameters.  :func:`dump_sketch` then works for any
-  registered object and :func:`load_sketch` reconstructs it — verifying
-  parameters, seed, and cell-array shapes before accepting the payload.
+* the **registry sketch format**: every arena-backed kind of the kind
+  table (:data:`repro.core.kinds.SKETCH_KINDS` — spanning forest,
+  k-EDGECONNECT, MINCUT, the sparsifiers, the subgraph-count sketch,
+  ...) lists its cell banks (``_cell_banks()``) and its constructor
+  parameters (``params()``).  :func:`dump_sketch` then works for any
+  such object and :func:`load_sketch` rebuilds an empty twin as
+  ``cls(n, source=HashSource(seed), **params)`` and fills it —
+  verifying parameters, seed, and cell-array shapes before accepting
+  the payload.
 
 **Codec v2** (the current write format) exploits the contiguous
 :class:`~repro.sketch.arena.SketchArena`: a blob is a fixed magic
@@ -31,7 +33,8 @@ v2 buffer hold the very same cells in the very same order.
 Only identically-parameterised, identically-seeded sketches merge, so
 the format stores the constructor parameters and seeds alongside the
 cell arrays; ``load_sketch(data, like=...)`` additionally refuses blobs
-whose parameters or seed differ from a local reference sketch, raising
+whose kind, parameters or seed differ from a local reference sketch —
+the same rule, and message, as ``ArenaBacked.merge`` — raising
 :class:`~repro.errors.SketchCompatibilityError`.  For coordinator-style
 hot paths, :func:`merge_sketch_bytes` / :func:`subtract_sketch_bytes`
 fold a verified v2 payload straight into a live sketch's arena without
@@ -40,27 +43,25 @@ materialising a twin sketch first.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import io
 import json
 import struct
 import zlib
-from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
-from ..errors import SketchCompatibilityError
+from ..errors import SketchCompatibilityError, incompatible
 from ..hashing import MERSENNE31, HashSource
-from .arena import ensure_arena
+from .arena import ArenaBacked, ensure_arena, require_same_identity, sketch_identity
 from .bank import CellBank
 from .l0 import L0SamplerBank
 from .sparse_recovery import SparseRecoveryBank
 
 __all__ = [
-    "SketchCodec",
-    "register_sketch_codec",
     "serializable_sketch_kinds",
-    "sketch_codec",
     "sketch_kind_of",
     "dump_sketch",
     "load_sketch",
@@ -278,98 +279,88 @@ def _validated_sparse_cells(
     return idx, values
 
 
-# -- generic sketch registry ---------------------------------------------------
+# -- the sketch-kind registry --------------------------------------------------
 
 _SKETCH_KIND_PREFIX = "sketch:"
 
 
-@dataclass(frozen=True)
-class SketchCodec:
-    """How to (de)serialise one sketch class.
+@functools.cache
+def _kinds() -> dict[str, type]:
+    """Serialisable kind name → class: the arena-backed kinds of the table.
 
-    Attributes
-    ----------
-    kind:
-        Stable format name stored in the blob header.
-    cls:
-        The sketch class this codec handles (matched exactly, not by
-        subclass, so a subclass must register its own codec).
-    params:
-        ``obj -> dict`` of JSON-able constructor parameters (excluding
-        the seed, which the dump layer adds).
-    construct:
-        ``meta -> obj`` rebuilding a fresh, empty, identically-seeded
-        sketch from the stored parameters (``meta["seed"]`` included).
-    banks:
-        ``obj -> list[CellBank]`` in a deterministic order; the dump is
-        the concatenation of their cell arrays.
+    Read from :data:`repro.core.kinds.SKETCH_KINDS` on first use, so
+    that :mod:`repro.sketch` stays importable on its own.
     """
+    from ..core.kinds import SKETCH_KINDS
 
-    kind: str
-    cls: type
-    params: Callable[[Any], dict]
-    construct: Callable[[dict], Any]
-    banks: Callable[[Any], list[CellBank]]
-
-
-_CODECS_BY_KIND: dict[str, SketchCodec] = {}
-_CODECS_BY_CLASS: dict[type, SketchCodec] = {}
+    return {
+        kind: cls for kind, cls in SKETCH_KINDS.items()
+        if issubclass(cls, ArenaBacked)
+    }
 
 
-def register_sketch_codec(codec: SketchCodec) -> None:
-    """Register a codec (idempotent for identical re-registration)."""
-    existing = _CODECS_BY_KIND.get(codec.kind)
-    if existing is not None and existing.cls is not codec.cls:
-        raise ValueError(
-            f"sketch kind {codec.kind!r} already registered for "
-            f"{existing.cls.__name__}"
-        )
-    _CODECS_BY_KIND[codec.kind] = codec
-    _CODECS_BY_CLASS[codec.cls] = codec
+@functools.cache
+def _kind_by_class() -> dict[type, str]:
+    return {cls: kind for kind, cls in _kinds().items()}
 
 
-def _ensure_codecs_loaded() -> None:
-    """Import the modules that register codecs for the core sketches.
-
-    Deferred so that :mod:`repro.sketch` stays importable on its own;
-    :mod:`repro.core.codecs` imports this module in turn.
-    """
-    from ..core import codecs  # noqa: F401  (import-for-side-effect)
+@functools.cache
+def _ctor_params(cls: type) -> frozenset[str]:
+    """Keyword parameters ``cls(source=..., **params)`` accepts."""
+    return frozenset(inspect.signature(cls).parameters) - {"source"}
 
 
 def serializable_sketch_kinds() -> tuple[str, ...]:
     """Registered kind names (sorted)."""
-    _ensure_codecs_loaded()
-    return tuple(sorted(_CODECS_BY_KIND))
-
-
-def sketch_codec(kind: str) -> SketchCodec:
-    """The registered codec for ``kind`` (raises ``KeyError`` if none).
-
-    Public so tooling — the registry-completeness checker in
-    :mod:`repro.analysis` in particular — can cross-check the codec
-    registry against the capability registry without reaching into
-    module privates.
-    """
-    _ensure_codecs_loaded()
-    if kind not in _CODECS_BY_KIND:
-        raise KeyError(
-            f"no codec registered for sketch kind {kind!r}; "
-            f"known kinds: {', '.join(sorted(_CODECS_BY_KIND))}"
-        )
-    return _CODECS_BY_KIND[kind]
+    return tuple(sorted(_kinds()))
 
 
 def sketch_kind_of(sketch: Any) -> str:
     """The registered kind name of ``sketch`` (raises ``TypeError`` if none)."""
-    _ensure_codecs_loaded()
-    codec = _CODECS_BY_CLASS.get(type(sketch))
-    if codec is None:
+    kind = _kind_by_class().get(type(sketch))
+    if kind is None:
         raise TypeError(
             f"{type(sketch).__name__} has no registered sketch codec; "
-            f"known kinds: {', '.join(sorted(_CODECS_BY_KIND))}"
+            f"known kinds: {', '.join(serializable_sketch_kinds())}"
         )
-    return codec.kind
+    return kind
+
+
+def _blob_kind(header: dict) -> str:
+    """The registered kind a sketch blob's header names."""
+    kind = header.get("__kind__", "")
+    if not isinstance(kind, str) or not kind.startswith(_SKETCH_KIND_PREFIX):
+        raise ValueError(
+            f"blob holds a {kind!r}, not a registry-serialised sketch"
+        )
+    name = kind[len(_SKETCH_KIND_PREFIX):]
+    if name not in _kinds():
+        raise ValueError(f"unknown sketch kind {kind!r}")
+    return name
+
+
+def _construct(cls: type, header: dict) -> Any:
+    """A fresh, empty, identically-seeded twin of a blob's sketch or bank.
+
+    Built as ``cls(source=HashSource(seed), **params)`` — for the
+    registry kinds the :meth:`~repro.api.SketchSpec.build` recipe.  A
+    stored parameter the constructor does not take (the ``k`` the cut
+    hierarchies derive from ``epsilon`` and ``c_k``) must equal the
+    value the twin derives.
+    """
+    accepted = _ctor_params(cls)
+    sketch = cls(
+        source=HashSource(header["seed"]),
+        **{key: value for key, value in header.items() if key in accepted},
+    )
+    for field, value in sketch.params().items():
+        if header.get(field) != value:
+            raise ValueError(
+                f"stored {field}={header.get(field)!r} does not match the "
+                f"value {value!r} derived from the blob's parameters — "
+                "corrupt or tampered blob"
+            )
+    return sketch
 
 
 def dump_sketch(
@@ -391,23 +382,16 @@ def dump_sketch(
     by the parameter/seed verification of :func:`load_sketch` — two
     checkpoints of the same sketch at different epochs stay mergeable.
     """
-    _ensure_codecs_loaded()
-    codec = _CODECS_BY_CLASS.get(type(sketch))
-    if codec is None:
-        raise TypeError(
-            f"{type(sketch).__name__} has no registered sketch codec; "
-            f"known kinds: {', '.join(sorted(_CODECS_BY_KIND))}"
-        )
+    kind = sketch_kind_of(sketch)
     if seed is None:
         seed = getattr(sketch, "source_seed", None)
     if seed is None:
         raise ValueError(
             f"{type(sketch).__name__} has no recorded seed; pass one explicitly"
         )
-    banks = codec.banks(sketch)
-    meta = dict(codec.params(sketch))
+    meta = sketch.params()
     meta["seed"] = int(seed)
-    meta["cells"] = [int(b.size) for b in banks]
+    meta["cells"] = [int(b.size) for b in sketch._cell_banks()]
     if epoch_meta is not None:
         meta["epoch"] = dict(epoch_meta)
     # Field-major arena buffer == the v1 concatenation order of
@@ -417,7 +401,7 @@ def dump_sketch(
     # O(nnz) fold at the coordinator.
     buffer = ensure_arena(sketch).buffer
     idx = np.flatnonzero(buffer)
-    kind = _SKETCH_KIND_PREFIX + codec.kind
+    kind = _SKETCH_KIND_PREFIX + kind
     if 2 * idx.size <= buffer.size // 4:
         meta["nnz"] = int(idx.size)
         payload = (
@@ -448,25 +432,17 @@ def load_sketch(data: bytes, like: Any | None = None) -> Any:
         the offending fields.  Use this before merging a received
         sketch into a local one.
     """
-    _ensure_codecs_loaded()
     if _is_v2(data):
         header, payload = _read_raw(data)
         arrays = None
     else:
         header, arrays = _read_blob(data)
         payload = None
-    kind = header.get("__kind__", "")
-    if not isinstance(kind, str) or not kind.startswith(_SKETCH_KIND_PREFIX):
-        raise ValueError(
-            f"blob holds a {kind!r}, not a registry-serialised sketch"
-        )
-    codec = _CODECS_BY_KIND.get(kind[len(_SKETCH_KIND_PREFIX):])
-    if codec is None:
-        raise ValueError(f"unknown sketch kind {kind!r}")
+    kind = _blob_kind(header)
     if like is not None:
-        _verify_like(codec, header, like)
-    sketch = codec.construct(header)
-    banks = codec.banks(sketch)
+        _verify_like(kind, header, like)
+    sketch = _construct(_kinds()[kind], header)
+    banks = sketch._cell_banks()
     cells = header.get("cells")
     if cells != [int(b.size) for b in banks]:
         raise ValueError(
@@ -542,27 +518,17 @@ def subtract_sketch_bytes(sketch: Any, data: bytes) -> None:
 
 
 def _combine_sketch_bytes(sketch: Any, data: bytes, subtract: bool) -> None:
-    _ensure_codecs_loaded()
-    if _CODECS_BY_CLASS.get(type(sketch)) is None:
-        raise TypeError(
-            f"{type(sketch).__name__} has no registered sketch codec; "
-            f"known kinds: {', '.join(sorted(_CODECS_BY_KIND))}"
-        )
+    sketch_kind_of(sketch)
     if not _is_v2(data):
         other = load_sketch(data, like=sketch)
         (sketch.subtract if subtract else sketch.merge)(other)
         return
     header, payload = _read_raw(data)
-    kind = header.get("__kind__", "")
-    if not isinstance(kind, str) or not kind.startswith(_SKETCH_KIND_PREFIX):
-        raise ValueError(
-            f"blob holds a {kind!r}, not a registry-serialised sketch"
-        )
-    codec = _CODECS_BY_KIND.get(kind[len(_SKETCH_KIND_PREFIX):])
-    if codec is None:
-        raise ValueError(f"unknown sketch kind {kind!r}")
-    _verify_like(codec, header, sketch, op="subtract" if subtract else "merge")
-    banks = codec.banks(sketch)
+    _verify_like(
+        _blob_kind(header), header, sketch,
+        op="subtract" if subtract else "merge",
+    )
+    banks = sketch._cell_banks()
     cells = header.get("cells")
     if cells != [int(b.size) for b in banks]:
         raise ValueError(
@@ -585,27 +551,17 @@ def peek_sketch_meta(data: bytes) -> dict:
     return _read_header_any(data)
 
 
-def _verify_like(
-    codec: SketchCodec, header: dict, like: Any, op: str = "load"
-) -> None:
-    like_codec = _CODECS_BY_CLASS.get(type(like))
-    if like_codec is None or like_codec.kind != codec.kind:
-        raise SketchCompatibilityError(
-            f"cannot {op}: blob holds a {codec.kind!r} sketch but the "
-            f"reference is {type(like).__name__}"
-        )
-    expected = dict(codec.params(like))
-    expected["seed"] = getattr(like, "source_seed", None)
-    mismatched = [
-        f"{key}: blob={header.get(key)!r} local={value!r}"
-        for key, value in expected.items()
-        if value is not None and header.get(key) != value
-    ]
-    if mismatched:
-        raise SketchCompatibilityError(
-            f"cannot {op} serialised sketch: incompatible with the local "
-            "reference — " + "; ".join(mismatched)
-        )
+def _verify_like(kind: str, header: dict, like: Any, op: str = "load") -> None:
+    """Refuse a blob whose kind, parameters or seed differ from ``like``'s.
+
+    The same rule as :meth:`~repro.sketch.arena.ArenaBacked.merge`,
+    applied to the blob header in place of a second live sketch.
+    """
+    name = type(like).__name__
+    like_kind = _kind_by_class().get(type(like))
+    if like_kind != kind:
+        raise incompatible(name, "kind", like_kind, kind, op=op)
+    require_same_identity(name, sketch_identity(like), header, op=op)
 
 
 # -- epoch manifests -----------------------------------------------------------
@@ -740,14 +696,7 @@ def dump_l0_bank(bank: L0SamplerBank, seed: int | None = None) -> bytes:
         seed = bank.source_seed
     if seed is None:
         raise ValueError("bank has no recorded seed; pass one explicitly")
-    meta = {
-        "seed": int(seed),
-        "families": bank.families,
-        "samplers": bank.samplers,
-        "domain": bank.domain,
-        "rows": bank.rows,
-        "buckets": bank.buckets,
-    }
+    meta = {"seed": int(seed), **bank.params()}
     arrays = {
         "phi": bank.bank.phi,
         "iota": bank.bank.iota,
@@ -760,14 +709,7 @@ def dump_l0_bank(bank: L0SamplerBank, seed: int | None = None) -> bytes:
 def load_l0_bank(data: bytes) -> L0SamplerBank:
     """Reconstruct an :class:`L0SamplerBank` from :func:`dump_l0_bank` bytes."""
     meta, arrays = _unpack(data, "l0_bank")
-    bank = L0SamplerBank(
-        families=meta["families"],
-        samplers=meta["samplers"],
-        domain=meta["domain"],
-        source=HashSource(meta["seed"]),
-        rows=meta["rows"],
-        buckets=meta["buckets"],
-    )
+    bank = _construct(L0SamplerBank, meta)
     _restore_cells(bank.bank, arrays)
     return bank
 
@@ -778,14 +720,7 @@ def dump_recovery_bank(bank: SparseRecoveryBank, seed: int | None = None) -> byt
         seed = bank.source_seed
     if seed is None:
         raise ValueError("bank has no recorded seed; pass one explicitly")
-    meta = {
-        "seed": int(seed),
-        "groups": bank.groups,
-        "instances": bank.instances,
-        "domain": bank.domain,
-        "k": bank.k,
-        "rows": bank.rows,
-    }
+    meta = {"seed": int(seed), **bank.params()}
     arrays = {
         "phi": bank.bank.phi,
         "iota": bank.bank.iota,
@@ -798,14 +733,7 @@ def dump_recovery_bank(bank: SparseRecoveryBank, seed: int | None = None) -> byt
 def load_recovery_bank(data: bytes) -> SparseRecoveryBank:
     """Reconstruct a bank from :func:`dump_recovery_bank` bytes."""
     meta, arrays = _unpack(data, "recovery_bank")
-    bank = SparseRecoveryBank(
-        groups=meta["groups"],
-        instances=meta["instances"],
-        domain=meta["domain"],
-        k=meta["k"],
-        source=HashSource(meta["seed"]),
-        rows=meta["rows"],
-    )
+    bank = _construct(SparseRecoveryBank, meta)
     _restore_cells(bank.bank, arrays)
     return bank
 

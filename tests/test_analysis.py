@@ -149,6 +149,19 @@ def test_deleting_cell_banks_override_goes_red(monkeypatch):
     )
 
 
+def test_deleting_params_override_goes_red(monkeypatch):
+    from repro.core.cut_queries import CutEdgesSketch
+    from repro.sketch.arena import ArenaBacked
+
+    monkeypatch.setattr(CutEdgesSketch, "params", ArenaBacked.params)
+    findings = check_registries()
+    assert any(
+        f.rule == "REP-R002" and "cut_edges" in f.message
+        and "params()" in f.message
+        for f in findings
+    )
+
+
 def test_unreachable_codec_kind_goes_red(monkeypatch):
     from repro.api import capabilities
 

@@ -143,6 +143,24 @@ class TestV2Fixtures:
             restored = load_sketch(chk_v2.payload, like=migrated)
             assert dump_sketch(migrated) == dump_sketch(restored)
 
+    @pytest.mark.parametrize("name", ["forest_epochs", "mincut_epochs"])
+    def test_v2_checkpoints_redump_to_their_committed_bytes(self, name):
+        """Load then dump gives back every committed checkpoint exactly.
+
+        Pins the whole blob — the header's parameter keys and their
+        order, the seed, the epoch metadata — not just the cell state.
+        """
+        from repro.sketch import load_epoch_manifest, load_sketch
+
+        _, payloads = load_epoch_manifest(
+            (FIXTURES / f"{name}_v2.manifest").read_bytes()
+        )
+        assert len(payloads) == 3
+        for payload in payloads:
+            epoch_meta = peek_sketch_meta(payload)["epoch"]
+            redumped = dump_sketch(load_sketch(payload), epoch_meta=epoch_meta)
+            assert redumped == payload
+
 
 class TestMinCutFixture:
     def test_loads_with_expected_shape(self, mincut_timeline):

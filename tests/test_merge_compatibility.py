@@ -89,6 +89,23 @@ MISMATCH_CASES = [
     ("mst_weight",
      lambda: MSTWeightSketch(10, max_weight=4, source=SRC.derive(20)),
      lambda: MSTWeightSketch(10, max_weight=6, source=SRC.derive(20))),
+    # Parameter mismatches that leave the cell layout unchanged: only
+    # the params() identity tells these apart.
+    ("simple_sparsification_weight_scale",
+     lambda: SimpleSparsification(
+         10, source=SRC.derive(21), c_k=0.2, weight_scale=1.0),
+     lambda: SimpleSparsification(
+         10, source=SRC.derive(21), c_k=0.2, weight_scale=2.0)),
+    ("simple_sparsification_epsilon_c_k",
+     lambda: SimpleSparsification(
+         10, epsilon=0.5, source=SRC.derive(22), c_k=0.5),
+     lambda: SimpleSparsification(
+         10, epsilon=0.4, source=SRC.derive(22), c_k=0.32)),
+    ("mst_weight_epsilon",
+     lambda: MSTWeightSketch(
+         10, max_weight=4, epsilon=0.5, source=SRC.derive(23)),
+     lambda: MSTWeightSketch(
+         10, max_weight=4, epsilon=0.49, source=SRC.derive(23))),
 ]
 
 
@@ -122,6 +139,15 @@ class TestSketchCompatibilityError:
         a = EdgeConnectivitySketch(10, 2, SRC.derive(30))
         b = EdgeConnectivitySketch(10, 3, SRC.derive(30))
         with pytest.raises(SketchCompatibilityError, match="k differs"):
+            a.merge(b)
+
+    def test_message_names_the_sketch_class_not_a_nested_part(self):
+        a = Sparsification(10, source=SRC.derive(31), c_rough=0.5)
+        b = Sparsification(10, source=SRC.derive(31), c_rough=0.05)
+        with pytest.raises(
+            SketchCompatibilityError,
+            match="cannot merge Sparsification: c_rough differs",
+        ):
             a.merge(b)
 
     def test_seed_mismatch_detected_in_banks(self):
